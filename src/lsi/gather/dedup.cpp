@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "obs/trace.hpp"
 
@@ -27,19 +28,27 @@ SparseTermVector reconstruct_term_profile(const lsi::la::DenseMatrix& u,
   for (index_t i = 0; i < profile.size(); ++i) {
     if (profile[i] != 0.0) order.push_back(i);
   }
-  // Magnitude descending; ties alphabetically so truncation is one order.
+  // Magnitude descending; ties alphabetically. Terms are unique within a
+  // vocabulary, so this is a strict total order and selecting the top
+  // entries keeps exactly the set a full sort would.
+  if (top_terms > 0 && order.size() > top_terms) {
+    std::nth_element(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(top_terms),
+                     order.end(), [&](index_t a, index_t b) {
+                       const double ma = std::fabs(profile[a]);
+                       const double mb = std::fabs(profile[b]);
+                       if (ma != mb) return ma > mb;
+                       return vocabulary.term(a) < vocabulary.term(b);
+                     });
+    order.resize(top_terms);
+  }
   std::sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-    const double ma = std::fabs(profile[a]), mb = std::fabs(profile[b]);
-    if (ma != mb) return ma > mb;
     return vocabulary.term(a) < vocabulary.term(b);
   });
-  if (top_terms > 0 && order.size() > top_terms) order.resize(top_terms);
 
   SparseTermVector out;
   out.reserve(order.size());
   for (index_t i : order) out.emplace_back(vocabulary.term(i), profile[i]);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

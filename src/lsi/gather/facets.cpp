@@ -1,7 +1,9 @@
 #include "lsi/gather/facets.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
+#include <utility>
 
 #include "la/vector_ops.hpp"
 
@@ -31,19 +33,40 @@ std::vector<Facet> shard_facets(const lsi::la::DenseMatrix& u,
     for (std::size_t f = 0; f < k; ++f) centroid[f] += coords[f] * sigma[f];
   }
   lsi::la::scale(centroid, 1.0 / static_cast<double>(doc_rows.size()));
-  if (lsi::la::norm2(centroid) == 0.0) return {};
+  // The centroid's norm is loop-invariant, so la::cosine's formula is
+  // evaluated below with it computed once.
+  const double centroid_norm = lsi::la::norm2(centroid);
+  if (centroid_norm == 0.0) return {};
 
-  std::vector<Facet> scored;
+  // Score into (weight, row) pairs and copy term strings only for the
+  // entries that survive the cut.
+  std::vector<std::pair<double, lsi::la::index_t>> scored;
   scored.reserve(u.rows());
   lsi::la::Vector term_coords(k, 0.0);
   for (lsi::la::index_t i = 0; i < u.rows(); ++i) {
     for (std::size_t f = 0; f < k; ++f) term_coords[f] = u(i, f) * sigma[f];
-    const double w = lsi::la::cosine(term_coords, centroid);
-    if (w > 0.0) scored.push_back(Facet{vocabulary.term(i), w});
+    const double term_norm = lsi::la::norm2(term_coords);
+    if (term_norm == 0.0) continue;  // la::cosine's zero-vector convention
+    const double w =
+        lsi::la::dot(term_coords, centroid) / (term_norm * centroid_norm);
+    if (w > 0.0) scored.emplace_back(w, i);
   }
-  std::sort(scored.begin(), scored.end(), facet_before);
-  if (scored.size() > top_terms) scored.resize(top_terms);
-  return scored;
+  // facet_before's order on (weight, term); terms are unique, so the
+  // partial sort keeps exactly the prefix a full sort would.
+  const std::size_t keep = std::min(top_terms, scored.size());
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
+                    scored.end(), [&](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return vocabulary.term(a.second) <
+                             vocabulary.term(b.second);
+                    });
+  std::vector<Facet> out;
+  out.reserve(keep);
+  for (std::size_t r = 0; r < keep; ++r) {
+    out.push_back(Facet{vocabulary.term(scored[r].second), scored[r].first});
+  }
+  return out;
 }
 
 std::vector<Facet> merge_facets(const std::vector<std::vector<Facet>>& lists,

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "lsi/gather/dedup.hpp"
 #include "lsi/ranking.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -188,7 +187,9 @@ std::vector<std::uint64_t> ShardedSnapshot::generations() const {
 std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
     const std::vector<std::string>& texts, const SearchOptions& opts,
     std::vector<QueryStats>* shard_stats, std::atomic<bool>* expired,
-    std::vector<std::vector<ScoreMoments>>* moments) const {
+    std::vector<std::vector<ScoreMoments>>* moments,
+    std::vector<std::vector<std::vector<gather::SparseTermVector>>>* profiles)
+    const {
   // Scatter: every shard handles the whole batch against its own space —
   // through its own cluster-pruned structure when the snapshot carries one
   // and opts.search admits it. Per-shard results stay in shard-local
@@ -199,6 +200,7 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
   shard_opts.sink = nullptr;  // installed once by the caller, for all shards
   std::vector<std::vector<std::vector<ScoredDoc>>> per_shard(shards_.size());
   if (moments) moments->assign(shards_.size(), {});
+  if (profiles) profiles->assign(shards_.size(), {});
   LSI_OBS_SPAN(span, "sharding.scatter");
   fan_out_shards(shards_, [&](std::size_t s) {
     // Per-shard deadline check (try_* paths only): a scatter task that has
@@ -220,6 +222,22 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
     per_shard[s] = BatchedRetriever(snap.space_ptr(), snap.ann())
                        .rank(batch, shard_opts, qs,
                              moments ? &(*moments)[s] : nullptr);
+    if (profiles == nullptr) return;
+    // Every hit a shard returns enters the collapse candidate pool, so its
+    // term profile is built here, in parallel across shards, rather than
+    // one hit after another at the gather.
+    LSI_OBS_SPAN(profile_span, "gather.profiles");
+    const SemanticSpace& sp = snap.space();
+    const text::Vocabulary& vocabulary = snap.context().vocabulary();
+    std::vector<std::vector<gather::SparseTermVector>>& out = (*profiles)[s];
+    out.resize(per_shard[s].size());
+    for (std::size_t b = 0; b < per_shard[s].size(); ++b) {
+      out[b].reserve(per_shard[s][b].size());
+      for (const ScoredDoc& sd : per_shard[s][b]) {
+        out[b].push_back(gather::reconstruct_term_profile(
+            sp.u, sp.sigma, sp.v, sd.doc, vocabulary));
+      }
+    }
   });
   return per_shard;
 }
@@ -313,31 +331,37 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
 
   std::vector<QueryStats> shard_stats(n_shards);
   const bool raw_policy = opts.merge == gather::MergePolicy::kRawCosine;
+  const bool collapse =
+      opts.collapse_cosine > 0.0 && opts.collapse_cosine <= 1.0;
   std::vector<std::vector<ScoreMoments>> shard_moments;
+  std::vector<std::vector<std::vector<gather::SparseTermVector>>>
+      shard_profiles;
   auto per_shard =
       scatter(texts, opts, stats ? &shard_stats : nullptr, expired,
-              raw_policy ? nullptr : &shard_moments);
+              raw_policy ? nullptr : &shard_moments,
+              collapse ? &shard_profiles : nullptr);
   if (expired != nullptr && expired->load(std::memory_order_relaxed)) {
     return results;  // caller reports kDeadlineExceeded
   }
 
-  const bool collapse =
-      opts.collapse_cosine > 0.0 && opts.collapse_cosine <= 1.0;
   LSI_OBS_SPAN(span, "sharding.gather");
+  // facet_rows[b][s]: shard-local V rows of query b's hits held by shard s.
+  std::vector<std::vector<std::vector<index_t>>> facet_rows(
+      bsz, std::vector<std::vector<index_t>>(n_shards));
   for (std::size_t b = 0; b < bsz; ++b) {
-    // Global-id shard lists for the fusion, plus a global -> shard-local row
-    // lookup (dedup reconstruction and facets read shard-local V rows).
+    // Global-id shard lists for the fusion, plus a global id -> position
+    // lookup into each shard's list (its shard-local V row and profile).
     std::vector<gather::ShardList> lists(n_shards);
-    std::vector<std::unordered_map<index_t, index_t>> local_rows(n_shards);
+    std::vector<std::unordered_map<index_t, std::size_t>> positions(n_shards);
     for (std::size_t s = 0; s < n_shards; ++s) {
       const std::vector<index_t>& ids = *shards_[s].global_ids;
       const std::vector<ScoredDoc>& ranked = per_shard[s][b];
       lists[s].docs.reserve(ranked.size());
       lists[s].cosines.reserve(ranked.size());
-      for (const ScoredDoc& sd : ranked) {
-        lists[s].docs.push_back(ids[sd.doc]);
-        lists[s].cosines.push_back(sd.cosine);
-        local_rows[s].emplace(ids[sd.doc], sd.doc);
+      for (std::size_t r = 0; r < ranked.size(); ++r) {
+        lists[s].docs.push_back(ids[ranked[r].doc]);
+        lists[s].cosines.push_back(ranked[r].cosine);
+        positions[s].emplace(ids[ranked[r].doc], r);
       }
       if (!raw_policy) {
         const ScoreMoments& m = shard_moments[s][b];
@@ -359,14 +383,13 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
     std::vector<gather::CollapsedHit> collapsed;
     if (collapse) {
       LSI_OBS_SPAN(collapse_span, "gather.collapse");
+      // Each (shard, document) occurs once in the pool, so every profile
+      // the scatter built moves into fused order exactly once.
       std::vector<gather::SparseTermVector> profiles;
       profiles.reserve(fused.size());
       for (const gather::FusedHit& h : fused) {
-        const IndexSnapshot& snap = *shards_[h.shard].snapshot;
-        const SemanticSpace& sp = snap.space();
-        profiles.push_back(gather::reconstruct_term_profile(
-            sp.u, sp.sigma, sp.v, local_rows[h.shard].at(h.doc),
-            snap.context().vocabulary()));
+        profiles.push_back(std::move(
+            shard_profiles[h.shard][b][positions[h.shard].at(h.doc)]));
       }
       collapsed = gather::collapse_near_duplicates(fused, profiles,
                                                    opts.collapse_cosine);
@@ -387,26 +410,34 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
       hit.cosine = ch.rep.cosine;
       hit.shard = ch.rep.shard;
       hit.duplicates = std::move(ch.duplicates);
+      if (opts.facets > 0) {
+        facet_rows[b][hit.shard].push_back(
+            per_shard[hit.shard][b][positions[hit.shard].at(hit.doc)].doc);
+      }
       result.hits.push_back(std::move(hit));
     }
+  }
 
-    if (opts.facets > 0 && !result.hits.empty()) {
-      LSI_OBS_SPAN(facet_span, "gather.facets");
-      std::vector<std::vector<index_t>> rows_by_shard(n_shards);
-      for (const GatherHit& hit : result.hits) {
-        rows_by_shard[hit.shard].push_back(
-            local_rows[hit.shard].at(hit.doc));
-      }
-      std::vector<std::vector<gather::Facet>> shard_lists;
-      for (std::size_t s = 0; s < n_shards; ++s) {
-        if (rows_by_shard[s].empty()) continue;
-        const IndexSnapshot& snap = *shards_[s].snapshot;
-        const SemanticSpace& sp = snap.space();
-        shard_lists.push_back(gather::shard_facets(
+  if (opts.facets > 0) {
+    LSI_OBS_SPAN(facet_span, "gather.facets");
+    // facet_lists[b][s]: shard s's facets for query b, computed on the
+    // shard fan-out; merge_facets ignores the empty lists of shards that
+    // hold none of a query's hits.
+    std::vector<std::vector<std::vector<gather::Facet>>> facet_lists(
+        bsz, std::vector<std::vector<gather::Facet>>(n_shards));
+    fan_out_shards(shards_, [&](std::size_t s) {
+      const IndexSnapshot& snap = *shards_[s].snapshot;
+      const SemanticSpace& sp = snap.space();
+      for (std::size_t b = 0; b < bsz; ++b) {
+        if (facet_rows[b][s].empty()) continue;
+        facet_lists[b][s] = gather::shard_facets(
             sp.u, sp.sigma, sp.v, snap.context().vocabulary(),
-            rows_by_shard[s], opts.facets));
+            facet_rows[b][s], opts.facets);
       }
-      result.facets = gather::merge_facets(shard_lists, opts.facets);
+    });
+    for (std::size_t b = 0; b < bsz; ++b) {
+      if (results[b].hits.empty()) continue;
+      results[b].facets = gather::merge_facets(facet_lists[b], opts.facets);
     }
   }
 

@@ -47,6 +47,7 @@
 
 #include "lsi/batched_retrieval.hpp"
 #include "lsi/concurrent.hpp"
+#include "lsi/gather/dedup.hpp"
 #include "lsi/gather/facets.hpp"
 #include "lsi/gather/fusion.hpp"
 #include "lsi/gather/term_stats.hpp"
@@ -196,7 +197,9 @@ class ShardedSnapshot {
   /// RRF re-score per-shard lists before the deterministic global sort;
   /// the default raw-cosine policy orders exactly like rank_batch), collapse
   /// near-duplicates when `opts.collapse_cosine` is in (0, 1], and attach
-  /// `opts.facets` facet terms per query. Runs the extra stages under the
+  /// `opts.facets` facet terms per query. Collapse profiles are built per
+  /// shard inside the scatter ("gather.profiles") and facets are scored per
+  /// shard on the same fan-out; the extra stages run under the
   /// "gather.fuse" / "gather.collapse" / "gather.facets" spans.
   std::vector<GatherResult> gather_batch(const std::vector<std::string>& texts,
                                          const SearchOptions& opts = {},
@@ -228,11 +231,16 @@ class ShardedSnapshot {
   /// filled so moments[s][b] holds shard s's full-sweep ScoreMoments for
   /// query b — the background statistics the z-score merge policy
   /// standardizes against (requested only for non-raw policies; the raw
-  /// path skips the extra passes entirely).
+  /// path skips the extra passes entirely). `profiles` (when non-null) is
+  /// filled so profiles[s][b][r] holds the reconstructed term profile of
+  /// result[s][b][r] — built inside shard s's scatter task, for the
+  /// near-duplicate collapse.
   std::vector<std::vector<std::vector<ScoredDoc>>> scatter(
       const std::vector<std::string>& texts, const SearchOptions& opts,
       std::vector<QueryStats>* shard_stats, std::atomic<bool>* expired,
-      std::vector<std::vector<ScoreMoments>>* moments = nullptr) const;
+      std::vector<std::vector<ScoreMoments>>* moments = nullptr,
+      std::vector<std::vector<std::vector<gather::SparseTermVector>>>*
+          profiles = nullptr) const;
 
   std::vector<GatherResult> gather_batch_impl(
       const std::vector<std::string>& texts, const SearchOptions& opts,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 
 namespace lsi::serve {
 
@@ -511,7 +512,7 @@ HttpResponse HttpServer::error_response(int status, std::string_view message) {
     resp.set_header("Retry-After", std::to_string(opts_.retry_after_seconds));
   }
   resp.body = "{\"error\":\"";
-  resp.body += json_escape(message);
+  resp.body += util::json_escape(message);
   resp.body += "\"}";
   return resp;
 }
@@ -615,7 +616,7 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
         resp.body += "{\"doc\":";
         resp.body += std::to_string(hits[i].doc);
         resp.body += ",\"label\":\"";
-        resp.body += json_escape(hits[i].label);
+        resp.body += util::json_escape(hits[i].label);
         resp.body += "\",\"cosine\":";
         append_double(resp.body, hits[i].cosine);
         resp.body += '}';
@@ -652,7 +653,7 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
       for (std::size_t f = 0; f < result.facets.size(); ++f) {
         if (f) resp.body += ',';
         resp.body += "{\"term\":\"";
-        resp.body += json_escape(result.facets[f].term);
+        resp.body += util::json_escape(result.facets[f].term);
         resp.body += "\",\"weight\":";
         append_double(resp.body, result.facets[f].weight);
         resp.body += '}';
@@ -702,7 +703,7 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
 
   HttpResponse resp;
   resp.body = "{\"session\":\"";
-  resp.body += json_escape(session->token);
+  resp.body += util::json_escape(session->token);
   resp.body += "\",\"results\":";
   resp.body += ranking_page_json(session->ranking, begin, end);
   resp.body += ",\"cursor\":";
@@ -773,7 +774,7 @@ HttpResponse HttpServer::handle_ingest(const HttpRequest& request) {
       counters_.quorum_503.fetch_add(1, std::memory_order_relaxed);
       obs::count("serve.quorum_503");
       HttpResponse resp = error_response(503, status.message());
-      resp.body = "{\"error\":\"" + json_escape(status.message()) +
+      resp.body = "{\"error\":\"" + util::json_escape(status.message()) +
                   "\",\"accepted\":" + std::to_string(accepted) +
                   ",\"rejected_line\":" + std::to_string(line_no) + "}";
       counters_.docs_ingested.fetch_add(accepted, std::memory_order_relaxed);
@@ -832,7 +833,7 @@ HttpResponse HttpServer::handle_session_create(const HttpRequest&) {
   HttpResponse resp;
   resp.status = 201;
   resp.body = "{\"session\":\"";
-  resp.body += json_escape(session->token);
+  resp.body += util::json_escape(session->token);
   resp.body += "\",\"generations\":";
   resp.body += generations_json(session->pin->generations());
   resp.body += ",\"ttl_seconds\":";

@@ -22,4 +22,8 @@ bool is_alpha(std::string_view s);
 /// Joins the pieces with `sep` between them.
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 
+/// JSON string-body escaping: quote, backslash, \n \r \t, and every other
+/// control character as lower-case \u00xx. Bytes >= 0x20 pass through.
+std::string json_escape(std::string_view s);
+
 }  // namespace lsi::util

@@ -8,16 +8,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "la/vector_ops.hpp"
 #include "lsi/gather/dedup.hpp"
 #include "lsi/gather/facets.hpp"
 #include "lsi/gather/fusion.hpp"
 #include "lsi/gather/term_stats.hpp"
 #include "lsi/ranking.hpp"
 #include "text/parser.hpp"
+#include "util/rng.hpp"
 #include "weighting/weighting.hpp"
 
 namespace {
@@ -399,6 +407,191 @@ TEST(GatherFusion, MergeFacetsBreaksWeightTiesAlphabetically) {
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].term, "aardvark");
   EXPECT_EQ(merged[1].term, "zebra");
+}
+
+// ---------------------------------------------------------------------------
+// Top-term selection vs a full-sort oracle
+// ---------------------------------------------------------------------------
+
+// The full-sort formulations the selecting implementations replaced: sort
+// every candidate, then cut. Kept here as the oracle the selections must
+// reproduce bit for bit.
+SparseTermVector full_sort_profile(const la::DenseMatrix& u,
+                                   const std::vector<double>& sigma,
+                                   const la::DenseMatrix& v, la::index_t row,
+                                   const text::Vocabulary& vocab,
+                                   std::size_t top_terms) {
+  la::Vector coords = v.row(row);
+  for (std::size_t f = 0; f < coords.size() && f < sigma.size(); ++f) {
+    coords[f] *= sigma[f];
+  }
+  const la::Vector profile = la::multiply(u, coords);
+  std::vector<la::index_t> order;
+  for (la::index_t i = 0; i < profile.size(); ++i) {
+    if (profile[i] != 0.0) order.push_back(i);
+  }
+  std::sort(order.begin(), order.end(), [&](la::index_t a, la::index_t b) {
+    const double ma = std::fabs(profile[a]), mb = std::fabs(profile[b]);
+    if (ma != mb) return ma > mb;
+    return vocab.term(a) < vocab.term(b);
+  });
+  if (top_terms > 0 && order.size() > top_terms) order.resize(top_terms);
+  SparseTermVector out;
+  for (la::index_t i : order) out.emplace_back(vocab.term(i), profile[i]);
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
+std::vector<Facet> full_sort_facets(const la::DenseMatrix& u,
+                                    const std::vector<double>& sigma,
+                                    const la::DenseMatrix& v,
+                                    const text::Vocabulary& vocab,
+                                    const std::vector<la::index_t>& rows,
+                                    std::size_t top_terms) {
+  if (rows.empty() || top_terms == 0 || u.rows() == 0) return {};
+  const std::size_t k = std::min<std::size_t>(u.cols(), sigma.size());
+  la::Vector centroid(k, 0.0);
+  for (la::index_t row : rows) {
+    const la::Vector coords = v.row(row);
+    for (std::size_t f = 0; f < k; ++f) centroid[f] += coords[f] * sigma[f];
+  }
+  la::scale(centroid, 1.0 / static_cast<double>(rows.size()));
+  if (la::norm2(centroid) == 0.0) return {};
+  std::vector<Facet> scored;
+  la::Vector term_coords(k, 0.0);
+  for (la::index_t i = 0; i < u.rows(); ++i) {
+    for (std::size_t f = 0; f < k; ++f) term_coords[f] = u(i, f) * sigma[f];
+    const double w = la::cosine(term_coords, centroid);
+    if (w > 0.0) scored.push_back(Facet{vocab.term(i), w});
+  }
+  std::sort(scored.begin(), scored.end(), [](const Facet& a, const Facet& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    return a.term < b.term;
+  });
+  if (scored.size() > top_terms) scored.resize(top_terms);
+  return scored;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Random factors whose term rows come in exact-tie groups: many U rows are
+/// copies (equal profile entries, equal facet weights) or negated copies
+/// (equal magnitudes) of earlier rows. Term strings are random, so the
+/// alphabetical tie-break disagrees with row order. V's last row is zero.
+struct TiedFactors {
+  la::DenseMatrix u, v;
+  std::vector<double> sigma;
+  text::Vocabulary vocab;
+};
+
+TiedFactors tied_factors(std::uint64_t seed) {
+  constexpr la::index_t m = 160, k = 6, n = 12;
+  util::Rng rng(seed);
+  TiedFactors f;
+  f.u = la::DenseMatrix(m, k);
+  for (la::index_t i = 0; i < m; ++i) {
+    const double pick = rng.uniform();
+    if (i >= 4 && pick < 0.5) {
+      const la::index_t src = rng.uniform_index(i);
+      const double sign = pick < 0.25 ? 1.0 : -1.0;
+      for (la::index_t c = 0; c < k; ++c) f.u(i, c) = sign * f.u(src, c);
+    } else {
+      for (la::index_t c = 0; c < k; ++c) f.u(i, c) = rng.uniform(-1.0, 1.0);
+    }
+  }
+  f.v = la::DenseMatrix(n, k);
+  for (la::index_t j = 0; j + 1 < n; ++j) {
+    for (la::index_t c = 0; c < k; ++c) f.v(j, c) = rng.uniform(-1.0, 1.0);
+  }
+  for (la::index_t c = 0; c < k; ++c) {
+    f.sigma.push_back(static_cast<double>(k - c) + rng.uniform());
+  }
+  std::set<std::string> seen;
+  std::vector<std::string> terms;
+  while (terms.size() < m) {
+    std::string t;
+    for (int c = 0; c < 5; ++c) {
+      t.push_back(static_cast<char>('a' + rng.uniform_index(26)));
+    }
+    if (seen.insert(t).second) terms.push_back(t);
+  }
+  f.vocab = text::Vocabulary(terms);
+  return f;
+}
+
+TEST(GatherFusion, ProfileSelectionMatchesFullSortOracleBitForBit) {
+  std::size_t ties_at_cut = 0;
+  for (std::uint64_t seed : {7u, 1995u}) {
+    const TiedFactors f = tied_factors(seed);
+    const std::size_t m = f.u.rows();
+    for (la::index_t row = 0; row < f.v.rows(); ++row) {
+      // Magnitudes in cut order, to count cuts that split an exact tie.
+      std::vector<double> mags;
+      for (const auto& entry :
+           full_sort_profile(f.u, f.sigma, f.v, row, f.vocab, 0)) {
+        mags.push_back(std::fabs(entry.second));
+      }
+      std::sort(mags.begin(), mags.end(), std::greater<>());
+      for (std::size_t top = 0; top <= m + 2; ++top) {
+        const auto want = full_sort_profile(f.u, f.sigma, f.v, row, f.vocab,
+                                            top);
+        const auto got =
+            reconstruct_term_profile(f.u, f.sigma, f.v, row, f.vocab, top);
+        ASSERT_EQ(got.size(), want.size()) << "row " << row << " top " << top;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i].first, want[i].first) << "row " << row;
+          ASSERT_EQ(bits_of(got[i].second), bits_of(want[i].second));
+        }
+        if (top > 0 && top < mags.size() && mags[top - 1] == mags[top]) {
+          ++ties_at_cut;
+        }
+      }
+    }
+    // The all-zero V row reconstructs to an empty profile at any cut.
+    EXPECT_TRUE(reconstruct_term_profile(f.u, f.sigma, f.v, f.v.rows() - 1,
+                                         f.vocab, 3)
+                    .empty());
+  }
+  EXPECT_GT(ties_at_cut, 0u) << "the tie-break at the cut went untested";
+}
+
+TEST(GatherFusion, FacetSelectionMatchesFullSortOracleBitForBit) {
+  std::size_t ties_at_cut = 0;
+  for (std::uint64_t seed : {7u, 1995u}) {
+    const TiedFactors f = tied_factors(seed);
+    const std::size_t m = f.u.rows();
+    const la::index_t zero_row = f.v.rows() - 1;
+    std::vector<std::vector<la::index_t>> row_sets = {{zero_row}, {}};
+    for (la::index_t r = 0; r < zero_row; ++r) row_sets.push_back({r});
+    row_sets.push_back({0, 3, 5});
+    row_sets.push_back({2, zero_row});
+    std::vector<la::index_t> all_rows(f.v.rows());
+    std::iota(all_rows.begin(), all_rows.end(), la::index_t{0});
+    row_sets.push_back(all_rows);
+    for (const auto& rows : row_sets) {
+      const auto ranked = full_sort_facets(f.u, f.sigma, f.v, f.vocab, rows,
+                                           m + 1);
+      for (std::size_t top = 0; top <= m + 2; ++top) {
+        const auto want =
+            full_sort_facets(f.u, f.sigma, f.v, f.vocab, rows, top);
+        const auto got = shard_facets(f.u, f.sigma, f.v, f.vocab, rows, top);
+        ASSERT_EQ(got.size(), want.size()) << "top " << top;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i].term, want[i].term) << "top " << top << " @" << i;
+          ASSERT_EQ(bits_of(got[i].weight), bits_of(want[i].weight));
+        }
+        if (top > 0 && top < ranked.size() &&
+            ranked[top - 1].weight == ranked[top].weight) {
+          ++ties_at_cut;
+        }
+      }
+    }
+    // Only the zero row: a zero centroid yields no facets.
+    EXPECT_TRUE(shard_facets(f.u, f.sigma, f.v, f.vocab, {zero_row}, 5)
+                    .empty());
+  }
+  EXPECT_GT(ties_at_cut, 0u) << "the tie-break at the cut went untested";
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "serve/http.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -283,10 +284,10 @@ TEST(HttpWire, ParseQueryString) {
 }
 
 TEST(HttpWire, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(lsi::util::json_escape("plain"), "plain");
+  EXPECT_EQ(lsi::util::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(lsi::util::json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(lsi::util::json_escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
 TEST(HttpWire, SerializeIdentity) {

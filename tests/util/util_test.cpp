@@ -186,6 +186,15 @@ TEST(Strings, Join) {
   EXPECT_EQ(lsi::util::join({}, ","), "");
 }
 
+TEST(Strings, JsonEscapeUsesLowerCaseUnicodeEscapes) {
+  // The stats exporter and the daemon share this one escaper; control
+  // bytes other than \n \r \t come out as lower-case \u00xx.
+  EXPECT_EQ(lsi::util::json_escape("q\"\\\r"), "q\\\"\\\\\\r");
+  EXPECT_EQ(lsi::util::json_escape(std::string_view("\x1f\x7f", 2)),
+            "\\u001f\x7f");
+  EXPECT_EQ(lsi::util::json_escape("caf\xc3\xa9"), "caf\xc3\xa9");
+}
+
 TEST(Table, AlignsAndCounts) {
   lsi::util::TextTable t({"doc", "cosine"});
   t.add_row({"M9", "1.00"});
