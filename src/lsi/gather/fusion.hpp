@@ -6,10 +6,10 @@
 // latent space, so raw cosines from different shards are measured on
 // different scales — the classic metasearch problem. Three policies:
 //
-//   kRawCosine   concatenate and sort by raw cosine (today's gather, the
-//                default — kept EXACTLY equivalent to lsi/ranking.hpp's
-//                merge_rankings, so the N = 1 bit-parity contract and every
-//                existing parity suite hold unmodified);
+//   kRawCosine   concatenate and sort by raw cosine (the default — kept
+//                EXACTLY equivalent to lsi/ranking.hpp's merge_rankings,
+//                so the N = 1 bit-parity contract and every existing
+//                parity suite hold unmodified);
 //   kZScore      standardize each shard's list to zero mean / unit variance
 //                before merging — removes per-shard scale and offset, the
 //                cheapest score-comparability fix (a shard list with zero
@@ -85,8 +85,8 @@ inline bool fused_before(const FusedHit& a, const FusedHit& b) noexcept {
 /// below. Returns the fused list truncated to `top_z` (0 = unlimited).
 ///
 /// Under kRawCosine the output order (and scores) are exactly what
-/// lsi/ranking.hpp merge_rankings produces — callers wanting the bit-parity
-/// fast path can keep calling merge_rankings directly.
+/// lsi/ranking.hpp merge_rankings produces: both sort by (cosine desc,
+/// global id asc), a strict total order over unique ids.
 struct ShardList {
   std::vector<index_t> docs;     ///< global ids, canonical shard order
   std::vector<double> cosines;   ///< matching raw cosines

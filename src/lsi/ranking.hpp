@@ -37,8 +37,10 @@ inline void sort_ranking(std::vector<Doc>& docs, std::size_t top_z = 0) {
 /// Gather-side merge: combines per-shard rankings (each already in canonical
 /// order, with document indices already mapped into one global id space)
 /// into a single canonical top-z ranking. With one input list the output is
-/// the input truncated to z — the merge adds no reordering of its own, which
-/// the sharded N = 1 bit-parity test relies on.
+/// the input truncated to z — the merge adds no reordering of its own. The
+/// sharded gather itself fuses through gather::fuse, whose raw-cosine policy
+/// orders exactly like this; the fusion and sharding tests keep this as the
+/// reference merge.
 template <typename Doc>
 inline std::vector<Doc> merge_rankings(
     const std::vector<std::vector<Doc>>& per_shard, std::size_t top_z = 0) {

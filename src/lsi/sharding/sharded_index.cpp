@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "lsi/ranking.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,51 +28,32 @@ util::ThreadPool& scatter_pool() {
   return pool;
 }
 
-/// Runs tasks[0..n) on the scatter pool and blocks until all complete.
-/// Completion is tracked per call (not via ThreadPool::wait_idle, which
-/// waits for *global* pool idleness and could starve under concurrent
-/// queries from other threads).
-void fan_out(std::size_t n, const std::function<void(std::size_t)>& task) {
+/// Runs task(0..n) and blocks until all complete — the one fan-out behind
+/// the shard builds, the scatter and the facets. With `views` (the scatter
+/// and facet callers), task i runs on view i's private replica executor
+/// when its ReadGate carries one (that replica's serving capacity, so read
+/// throughput scales with healthy replicas) and on the scatter pool
+/// otherwise; each view's in-flight gauge — the least-loaded read policy's
+/// signal — is held from dispatch until its task finishes. Completion is
+/// tracked per call (not via ThreadPool::wait_idle, which waits for *global*
+/// pool idleness and could starve under concurrent queries from other
+/// threads).
+void fan_out(std::size_t n, const std::function<void(std::size_t)>& task,
+             const std::vector<ShardedSnapshot::ShardView>* views = nullptr) {
   if (n == 0) return;
-  if (n == 1 || scatter_pool().thread_count() <= 1) {
-    // A single-threaded pool cannot overlap anything with the caller, so the
-    // dispatch/latch round-trip would be pure overhead per batch.
-    for (std::size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    scatter_pool().submit([&, i] {
-      task(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
-}
-
-/// Replica-aware scatter fan-out: a shard view whose ReadGate carries a
-/// private executor runs there (that replica's serving capacity, so read
-/// throughput scales with healthy replicas); gateless views share the
-/// scatter pool. Each view's in-flight gauge — the least-loaded read
-/// policy's signal — is held from dispatch until its shard task finishes.
-void fan_out_shards(const std::vector<ShardedSnapshot::ShardView>& shards,
-                    const std::function<void(std::size_t)>& task) {
-  const std::size_t n = shards.size();
-  if (n == 0) return;
+  auto gate_of = [&](std::size_t i) -> ReadGate* {
+    return views != nullptr ? (*views)[i].gate.get() : nullptr;
+  };
   bool private_pools = false;
-  for (const ShardedSnapshot::ShardView& sv : shards) {
-    if (sv.gate != nullptr && sv.gate->pool != nullptr) {
-      private_pools = true;
-      break;
-    }
+  for (std::size_t i = 0; i < n && !private_pools; ++i) {
+    const ReadGate* gate = gate_of(i);
+    private_pools = gate != nullptr && gate->pool != nullptr;
   }
   if (!private_pools && (n == 1 || scatter_pool().thread_count() <= 1)) {
+    // A single-threaded pool cannot overlap anything with the caller, so the
+    // dispatch/latch round-trip would be pure overhead per batch.
     for (std::size_t i = 0; i < n; ++i) {
-      ReadGate* gate = shards[i].gate.get();
+      ReadGate* gate = gate_of(i);
       if (gate) gate->in_flight.fetch_add(1, std::memory_order_relaxed);
       task(i);
       if (gate) gate->in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -84,7 +64,7 @@ void fan_out_shards(const std::vector<ShardedSnapshot::ShardView>& shards,
   std::condition_variable cv;
   std::size_t remaining = n;
   for (std::size_t i = 0; i < n; ++i) {
-    ReadGate* gate = shards[i].gate.get();
+    ReadGate* gate = gate_of(i);
     util::ThreadPool& pool = (gate != nullptr && gate->pool != nullptr)
                                  ? *gate->pool
                                  : scatter_pool();
@@ -112,6 +92,29 @@ void accumulate_stats(QueryStats& into, const QueryStats& shard) {
   into.ann_pruned_queries += shard.ann_pruned_queries;
   into.ann_centroids_probed += shard.ann_centroids_probed;
   into.ann_docs_scanned += shard.ann_docs_scanned;
+}
+
+/// The options rank_batch / retrieve / query gather under: the caller's,
+/// with collapse and facets off.
+SearchOptions ranking_options(SearchOptions opts) {
+  opts.collapse_cosine = -1.0;
+  opts.facets = 0;
+  return opts;
+}
+
+/// Projects gather results onto plain rankings. The cosine slot carries the
+/// FUSION score (the raw cosine under kRawCosine), so downstream ordering
+/// consumers — paging cursors, sessions — stay policy-agnostic.
+std::vector<std::vector<ScoredDoc>> to_rankings(
+    const std::vector<ShardedSnapshot::GatherResult>& results) {
+  std::vector<std::vector<ScoredDoc>> rankings(results.size());
+  for (std::size_t b = 0; b < results.size(); ++b) {
+    rankings[b].reserve(results[b].hits.size());
+    for (const ShardedSnapshot::GatherHit& hit : results[b].hits) {
+      rankings[b].push_back(ScoredDoc{hit.doc, hit.score});
+    }
+  }
+  return rankings;
 }
 
 }  // namespace
@@ -202,7 +205,7 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
   if (moments) moments->assign(shards_.size(), {});
   if (profiles) profiles->assign(shards_.size(), {});
   LSI_OBS_SPAN(span, "sharding.scatter");
-  fan_out_shards(shards_, [&](std::size_t s) {
+  fan_out(shards_.size(), [&](std::size_t s) {
     // Per-shard deadline check (try_* paths only): a scatter task that has
     // not started by expiry abandons the batch instead of scoring it.
     if (expired != nullptr && shard_opts.deadline_expired()) {
@@ -238,86 +241,8 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
             sp.u, sp.sigma, sp.v, sd.doc, vocabulary));
       }
     }
-  });
+  }, &shards_);
   return per_shard;
-}
-
-std::vector<std::vector<ScoredDoc>> ShardedSnapshot::rank_batch_impl(
-    const std::vector<std::string>& texts, const SearchOptions& opts,
-    QueryStats* stats, std::atomic<bool>* expired) const {
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
-  const std::size_t bsz = texts.size();
-  const std::size_t n_shards = shards_.size();
-  std::vector<std::vector<ScoredDoc>> merged(bsz);
-  if (bsz == 0 || n_shards == 0) return merged;
-
-  std::vector<QueryStats> shard_stats(n_shards);
-  const bool raw_policy = opts.merge == gather::MergePolicy::kRawCosine;
-  std::vector<std::vector<ScoreMoments>> shard_moments;
-  auto per_shard =
-      scatter(texts, opts, stats ? &shard_stats : nullptr, expired,
-              raw_policy ? nullptr : &shard_moments);
-  if (expired != nullptr &&
-      expired->load(std::memory_order_relaxed)) {
-    return merged;  // caller reports kDeadlineExceeded; results are partial
-  }
-
-  // Gather: map shard-local indices to global ids, then merge every query's
-  // N sorted lists under the shared comparator. Equal cosines order by
-  // global id — independent of which shard produced them, so the tie order
-  // is identical across shard counts. The raw-cosine default stays on the
-  // original merge_rankings path (bit-identical to the pre-gather engine);
-  // kZScore/kRRF re-score each shard's list before the same sort.
-  {
-    LSI_OBS_SPAN(span, "sharding.gather");
-    for (std::size_t b = 0; b < bsz; ++b) {
-      if (raw_policy) {
-        std::vector<std::vector<ScoredDoc>> lists(n_shards);
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const std::vector<index_t>& ids = *shards_[s].global_ids;
-          lists[s] = std::move(per_shard[s][b]);
-          for (ScoredDoc& sd : lists[s]) sd.doc = ids[sd.doc];
-        }
-        merged[b] = merge_rankings(lists, opts.z);
-      } else {
-        std::vector<gather::ShardList> lists(n_shards);
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const std::vector<index_t>& ids = *shards_[s].global_ids;
-          const std::vector<ScoredDoc>& ranked = per_shard[s][b];
-          lists[s].docs.reserve(ranked.size());
-          lists[s].cosines.reserve(ranked.size());
-          for (const ScoredDoc& sd : ranked) {
-            lists[s].docs.push_back(ids[sd.doc]);
-            lists[s].cosines.push_back(sd.cosine);
-          }
-          // Full-sweep background moments: the z-score standardizes each
-          // shard's list against everything the shard scored, not just the
-          // top-z it returned (fusion.hpp).
-          const ScoreMoments& m = shard_moments[s][b];
-          lists[s].bg_count = m.count;
-          lists[s].bg_mean = m.mean;
-          lists[s].bg_stdev = m.stdev;
-        }
-        const std::vector<gather::FusedHit> fused =
-            gather::fuse(lists, opts.fusion_options(), opts.z);
-        merged[b].reserve(fused.size());
-        // The cosine slot carries the FUSION score so downstream ordering
-        // consumers (paging cursors, min_cosine-free sessions) stay policy-
-        // agnostic; gather_batch exposes both values separately.
-        for (const gather::FusedHit& h : fused) {
-          merged[b].push_back(ScoredDoc{h.doc, h.score});
-        }
-      }
-    }
-  }
-
-  if (stats) {
-    stats->batch_size += static_cast<index_t>(bsz);
-    for (const QueryStats& qs : shard_stats) accumulate_stats(*stats, qs);
-  }
-  obs::count("sharding.batches");
-  obs::count("sharding.queries", bsz);
-  return merged;
 }
 
 std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
@@ -333,6 +258,7 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
   const bool raw_policy = opts.merge == gather::MergePolicy::kRawCosine;
   const bool collapse =
       opts.collapse_cosine > 0.0 && opts.collapse_cosine <= 1.0;
+  const bool facets = opts.facets > 0;
   std::vector<std::vector<ScoreMoments>> shard_moments;
   std::vector<std::vector<std::vector<gather::SparseTermVector>>>
       shard_profiles;
@@ -344,15 +270,24 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
     return results;  // caller reports kDeadlineExceeded
   }
 
+  // Gather: map shard-local indices to global ids, then fuse every query's
+  // N sorted lists under opts.merge. Equal scores order by global id —
+  // independent of which shard produced them, so the tie order is identical
+  // across shard counts; under kRawCosine the fused order is exactly
+  // merge_rankings' (lsi/ranking.hpp).
   LSI_OBS_SPAN(span, "sharding.gather");
   // facet_rows[b][s]: shard-local V rows of query b's hits held by shard s.
-  std::vector<std::vector<std::vector<index_t>>> facet_rows(
-      bsz, std::vector<std::vector<index_t>>(n_shards));
+  std::vector<std::vector<std::vector<index_t>>> facet_rows;
+  if (facets) {
+    facet_rows.assign(bsz, std::vector<std::vector<index_t>>(n_shards));
+  }
   for (std::size_t b = 0; b < bsz; ++b) {
-    // Global-id shard lists for the fusion, plus a global id -> position
-    // lookup into each shard's list (its shard-local V row and profile).
+    // Global-id shard lists for the fusion, plus — only when collapse or
+    // facets need it — a global id -> position lookup into each shard's
+    // list (its shard-local V row and profile).
     std::vector<gather::ShardList> lists(n_shards);
-    std::vector<std::unordered_map<index_t, std::size_t>> positions(n_shards);
+    std::vector<std::unordered_map<index_t, std::size_t>> positions(
+        collapse || facets ? n_shards : 0);
     for (std::size_t s = 0; s < n_shards; ++s) {
       const std::vector<index_t>& ids = *shards_[s].global_ids;
       const std::vector<ScoredDoc>& ranked = per_shard[s][b];
@@ -361,9 +296,12 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
       for (std::size_t r = 0; r < ranked.size(); ++r) {
         lists[s].docs.push_back(ids[ranked[r].doc]);
         lists[s].cosines.push_back(ranked[r].cosine);
-        positions[s].emplace(ids[ranked[r].doc], r);
+        if (!positions.empty()) positions[s].emplace(ids[ranked[r].doc], r);
       }
       if (!raw_policy) {
+        // Full-sweep background moments: the z-score standardizes each
+        // shard's list against everything the shard scored, not just the
+        // top-z it returned (fusion.hpp).
         const ScoreMoments& m = shard_moments[s][b];
         lists[s].bg_count = m.count;
         lists[s].bg_mean = m.mean;
@@ -394,38 +332,33 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
       collapsed = gather::collapse_near_duplicates(fused, profiles,
                                                    opts.collapse_cosine);
       if (opts.z > 0 && collapsed.size() > opts.z) collapsed.resize(opts.z);
-    } else {
-      collapsed.reserve(fused.size());
-      for (const gather::FusedHit& h : fused) {
-        collapsed.push_back(gather::CollapsedHit{h, {}});
-      }
     }
 
     GatherResult& result = results[b];
-    result.hits.reserve(collapsed.size());
-    for (gather::CollapsedHit& ch : collapsed) {
-      GatherHit hit;
-      hit.doc = ch.rep.doc;
-      hit.score = ch.rep.score;
-      hit.cosine = ch.rep.cosine;
-      hit.shard = ch.rep.shard;
-      hit.duplicates = std::move(ch.duplicates);
-      if (opts.facets > 0) {
+    result.hits.resize(collapse ? collapsed.size() : fused.size());
+    for (std::size_t i = 0; i < result.hits.size(); ++i) {
+      const gather::FusedHit& rep = collapse ? collapsed[i].rep : fused[i];
+      GatherHit& hit = result.hits[i];
+      hit.doc = rep.doc;
+      hit.score = rep.score;
+      hit.cosine = rep.cosine;
+      hit.shard = rep.shard;
+      if (collapse) hit.duplicates = std::move(collapsed[i].duplicates);
+      if (facets) {
         facet_rows[b][hit.shard].push_back(
             per_shard[hit.shard][b][positions[hit.shard].at(hit.doc)].doc);
       }
-      result.hits.push_back(std::move(hit));
     }
   }
 
-  if (opts.facets > 0) {
+  if (facets) {
     LSI_OBS_SPAN(facet_span, "gather.facets");
     // facet_lists[b][s]: shard s's facets for query b, computed on the
     // shard fan-out; merge_facets ignores the empty lists of shards that
     // hold none of a query's hits.
     std::vector<std::vector<std::vector<gather::Facet>>> facet_lists(
         bsz, std::vector<std::vector<gather::Facet>>(n_shards));
-    fan_out_shards(shards_, [&](std::size_t s) {
+    fan_out(n_shards, [&](std::size_t s) {
       const IndexSnapshot& snap = *shards_[s].snapshot;
       const SemanticSpace& sp = snap.space();
       for (std::size_t b = 0; b < bsz; ++b) {
@@ -434,7 +367,7 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
             sp.u, sp.sigma, sp.v, snap.context().vocabulary(),
             facet_rows[b][s], opts.facets);
       }
-    });
+    }, &shards_);
     for (std::size_t b = 0; b < bsz; ++b) {
       if (results[b].hits.empty()) continue;
       results[b].facets = gather::merge_facets(facet_lists[b], opts.facets);
@@ -477,24 +410,18 @@ ShardedSnapshot::try_gather_batch(const std::vector<std::string>& texts,
 std::vector<std::vector<ScoredDoc>> ShardedSnapshot::rank_batch(
     const std::vector<std::string>& texts, const SearchOptions& opts,
     QueryStats* stats) const {
-  return rank_batch_impl(texts, opts, stats, /*expired=*/nullptr);
+  return to_rankings(gather_batch(texts, ranking_options(opts), stats));
 }
 
 Expected<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::try_rank_batch(
     const std::vector<std::string>& texts, const SearchOptions& opts,
     QueryStats* stats) const {
+  // The caller's options are validated as given, so a malformed collapse
+  // threshold is rejected here exactly as on the gather path.
   if (Status s = opts.Validate(); !s.ok()) return s;
-  if (opts.deadline_expired()) {
-    return Status::DeadlineExceeded(
-        "search deadline expired before the scatter began");
-  }
-  std::atomic<bool> expired{false};
-  auto merged = rank_batch_impl(texts, opts, stats, &expired);
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded(
-        "search deadline expired during the shard scatter");
-  }
-  return merged;
+  auto gathered = try_gather_batch(texts, ranking_options(opts), stats);
+  if (!gathered.ok()) return gathered.status();
+  return to_rankings(std::move(gathered).value());
 }
 
 std::vector<ScoredDoc> ShardedSnapshot::retrieve(std::string_view text,
@@ -507,26 +434,23 @@ std::vector<ScoredDoc> ShardedSnapshot::retrieve(std::string_view text,
 std::vector<QueryResult> ShardedSnapshot::query(std::string_view text,
                                                 const SearchOptions& opts,
                                                 QueryStats* stats) const {
-  const std::vector<ScoredDoc> ranked = retrieve(text, opts, stats);
-  // Resolve labels: global ids are sparse in the merged list, so build the
-  // reverse (global id -> shard, local) view only for the returned docs.
+  const std::vector<GatherResult> gathered =
+      gather_batch({std::string(text)}, ranking_options(opts), stats);
   std::vector<QueryResult> out;
-  out.reserve(ranked.size());
-  for (const ScoredDoc& sd : ranked) {
+  if (gathered.empty()) return out;
+  out.reserve(gathered[0].hits.size());
+  for (const GatherHit& hit : gathered[0].hits) {
     QueryResult qr;
-    qr.doc = sd.doc;
-    qr.cosine = sd.cosine;
-    for (const ShardView& shard : shards_) {
-      const std::vector<index_t>& ids = *shard.global_ids;
-      const std::size_t docs =
-          static_cast<std::size_t>(shard.snapshot->space().num_docs());
-      for (std::size_t j = 0; j < docs; ++j) {
-        if (ids[j] == sd.doc) {
-          qr.label = shard.snapshot->doc_labels()[j];
-          break;
-        }
-      }
-      if (!qr.label.empty()) break;
+    qr.doc = hit.doc;
+    qr.cosine = hit.score;
+    // Resolve the label in the hit's own shard: its id map holds the hit's
+    // global id at the document's shard-local row.
+    const ShardView& shard = shards_[hit.shard];
+    const std::vector<index_t>& ids = *shard.global_ids;
+    const auto docs = ids.begin() + shard.snapshot->space().num_docs();
+    const auto row = std::find(ids.begin(), docs, hit.doc);
+    if (row != docs) {
+      qr.label = shard.snapshot->doc_labels()[row - ids.begin()];
     }
     out.push_back(std::move(qr));
   }

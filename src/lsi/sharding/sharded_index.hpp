@@ -22,9 +22,10 @@
 //            it with the shard-local BatchedRetriever into a per-shard
 //            bounded top-z heap; shards fan out across a dedicated pool;
 //   gather   per-shard rankings are mapped from shard-local document
-//            indices to global document ids and merged with the shared
-//            lsi/ranking.hpp comparator (cosine descending, global id
-//            ascending) into one deterministic global top-z.
+//            indices to global document ids and fused under the request's
+//            merge policy (gather::fuse; the raw-cosine default sorts by
+//            the shared lsi/ranking.hpp comparator — cosine descending,
+//            global id ascending) into one deterministic global top-z.
 //
 // With N = 1 the scatter is a single BatchedRetriever pass and the gather a
 // truncation, so the sharded path is bit-identical to the monolithic batched
@@ -157,6 +158,10 @@ class ShardedSnapshot {
   /// deterministically. Runs under the "sharding.scatter" / "sharding.gather"
   /// spans; `stats` (when non-null) accumulates the summed per-shard stage
   /// breakdown (seconds are CPU-seconds across shards, not wall time).
+  ///
+  /// A projection of gather_batch with collapse and facets off: each hit
+  /// becomes ScoredDoc{doc, score}, so under kZScore / kRRF the cosine slot
+  /// carries the fusion score.
   std::vector<std::vector<ScoredDoc>> rank_batch(
       const std::vector<std::string>& texts, const SearchOptions& opts = {},
       QueryStats* stats = nullptr) const;
@@ -192,11 +197,12 @@ class ShardedSnapshot {
     std::vector<gather::Facet> facets;
   };
 
-  /// The rich gather path (docs/GATHER.md): the same scatter as rank_batch,
-  /// then the full gather pipeline — merge under `opts.merge` (z-score /
-  /// RRF re-score per-shard lists before the deterministic global sort;
-  /// the default raw-cosine policy orders exactly like rank_batch), collapse
-  /// near-duplicates when `opts.collapse_cosine` is in (0, 1], and attach
+  /// The one gather path (docs/GATHER.md) every sharded read runs through:
+  /// the scatter, then merge under `opts.merge` (z-score / RRF re-score
+  /// per-shard lists before the deterministic global sort; the default
+  /// raw-cosine policy orders exactly like lsi/ranking.hpp merge_rankings),
+  /// collapse near-duplicates when `opts.collapse_cosine` is in (0, 1], and
+  /// attach
   /// `opts.facets` facet terms per query. Collapse profiles are built per
   /// shard inside the scatter ("gather.profiles") and facets are scored per
   /// shard on the same fan-out; the extra stages run under the
@@ -211,40 +217,36 @@ class ShardedSnapshot {
       QueryStats* stats = nullptr) const;
 
   /// Free-text retrieval with labels resolved against the pinned shard
-  /// snapshots; `doc` carries the global document id.
+  /// snapshots; `doc` carries the global document id. Ranks like retrieve.
   std::vector<QueryResult> query(std::string_view text,
                                  const SearchOptions& opts = {},
                                  QueryStats* stats = nullptr) const;
 
  private:
-  /// Shared scatter-gather body. When `expired` is non-null the per-shard
-  /// deadline protocol is active: a scatter task observing an expired
-  /// `opts.deadline` before it starts sets the flag and abandons its pass.
-  std::vector<std::vector<ScoredDoc>> rank_batch_impl(
+  /// The scatter-gather body behind every read. When `expired` is non-null
+  /// the per-shard deadline protocol is active: a scatter task observing an
+  /// expired `opts.deadline` before it starts sets the flag and abandons its
+  /// pass.
+  std::vector<GatherResult> gather_batch_impl(
       const std::vector<std::string>& texts, const SearchOptions& opts,
       QueryStats* stats, std::atomic<bool>* expired) const;
 
-  /// The scatter stage shared by rank_batch_impl and gather_batch_impl:
-  /// result[s][b] is shard s's top-z for query b in SHARD-LOCAL document
-  /// indices. `shard_stats` (when non-null) must be pre-sized to
-  /// num_shards(); deadline protocol as above. `moments` (when non-null) is
-  /// filled so moments[s][b] holds shard s's full-sweep ScoreMoments for
-  /// query b — the background statistics the z-score merge policy
-  /// standardizes against (requested only for non-raw policies; the raw
-  /// path skips the extra passes entirely). `profiles` (when non-null) is
-  /// filled so profiles[s][b][r] holds the reconstructed term profile of
-  /// result[s][b][r] — built inside shard s's scatter task, for the
-  /// near-duplicate collapse.
+  /// The scatter stage of gather_batch_impl: result[s][b] is shard s's top-z
+  /// for query b in SHARD-LOCAL document indices. `shard_stats` (when
+  /// non-null) must be pre-sized to num_shards(); deadline protocol as
+  /// above. `moments` (when non-null) is filled so moments[s][b] holds shard
+  /// s's full-sweep ScoreMoments for query b — the background statistics
+  /// the z-score merge policy standardizes against (requested only for
+  /// non-raw policies; the raw path skips the extra passes entirely).
+  /// `profiles` (when non-null) is filled so profiles[s][b][r] holds the
+  /// reconstructed term profile of result[s][b][r] — built inside shard s's
+  /// scatter task, for the near-duplicate collapse.
   std::vector<std::vector<std::vector<ScoredDoc>>> scatter(
       const std::vector<std::string>& texts, const SearchOptions& opts,
       std::vector<QueryStats>* shard_stats, std::atomic<bool>* expired,
       std::vector<std::vector<ScoreMoments>>* moments = nullptr,
       std::vector<std::vector<std::vector<gather::SparseTermVector>>>*
           profiles = nullptr) const;
-
-  std::vector<GatherResult> gather_batch_impl(
-      const std::vector<std::string>& texts, const SearchOptions& opts,
-      QueryStats* stats, std::atomic<bool>* expired) const;
 
   std::vector<ShardView> shards_;
 };

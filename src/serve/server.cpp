@@ -8,9 +8,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -20,13 +23,26 @@ namespace lsi::serve {
 
 namespace {
 
-/// Nonnegative integer parameter, or `fallback` on absence/garbage.
-std::size_t parse_size(std::string_view s, std::size_t fallback) {
-  if (s.empty()) return fallback;
+/// A nonnegative decimal integer parameter; nullopt on absence, garbage or
+/// a value that does not fit a std::size_t.
+std::optional<std::size_t> parse_count(std::string_view s) {
+  if (s.empty()) return std::nullopt;
   std::size_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return fallback;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// A finite decimal number parameter; nullopt on absence, garbage, or a
+/// magnitude a double cannot hold.
+std::optional<double> parse_number(std::string_view s) {
+  if (s.empty()) return std::nullopt;
+  const std::string text(s);
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(value)) {
+    return std::nullopt;
   }
   return value;
 }
@@ -67,31 +83,35 @@ bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
   }
   if (want_exact) opts.search = core::SearchMode::kExact;
   if (!nprobe.empty()) {
-    const std::size_t v = parse_size(nprobe, 0);
-    if (v == 0) {
+    const std::optional<std::size_t> v = parse_count(nprobe);
+    if (!v || *v == 0) {
       error = "nprobe must be a positive integer";
       return false;
     }
-    opts.nprobe = v;
+    opts.nprobe = *v;
   }
   if (!recall.empty()) {
-    const std::string text(recall);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(v > 0.0) || v > 1.0) {
+    const std::optional<double> v = parse_number(recall);
+    if (!v || !(*v > 0.0) || *v > 1.0) {
       error = "recall must be a number in (0, 1]";
       return false;
     }
-    opts.recall_target = v;
+    opts.recall_target = *v;
   }
   if (!deadline_ms.empty()) {
-    const std::size_t ms = parse_size(deadline_ms, 0);
-    if (ms == 0) {
+    // The deadline must be a representable time point: past
+    // time_point::max() the clock's signed tick count would overflow.
+    using std::chrono::milliseconds;
+    const auto now = std::chrono::steady_clock::now();
+    const auto max_ms = std::chrono::duration_cast<milliseconds>(
+        std::chrono::steady_clock::time_point::max() - now);
+    const std::optional<std::size_t> ms = parse_count(deadline_ms);
+    if (!ms || *ms == 0 ||
+        *ms > static_cast<std::size_t>(max_ms.count())) {
       error = "deadline_ms must be a positive integer";
       return false;
     }
-    opts.deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    opts.deadline = now + milliseconds(*ms);
   }
 
   // Gather knobs (docs/GATHER.md): merge policy, RRF constant, near-dup
@@ -104,34 +124,30 @@ bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
   }
   if (const std::string_view rrf_k = request.param("rrf_k");
       !rrf_k.empty()) {
-    const std::string text(rrf_k);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(v > 0.0)) {
+    const std::optional<double> v = parse_number(rrf_k);
+    if (!v || !(*v > 0.0)) {
       error = "rrf_k must be a positive number";
       return false;
     }
-    opts.rrf_k = v;
+    opts.rrf_k = *v;
   }
   if (const std::string_view collapse = request.param("collapse");
       !collapse.empty()) {
-    const std::string text(collapse);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(v > 0.0) || v > 1.0) {
+    const std::optional<double> v = parse_number(collapse);
+    if (!v || !(*v > 0.0) || *v > 1.0) {
       error = "collapse must be a cosine threshold in (0, 1]";
       return false;
     }
-    opts.collapse_cosine = v;
+    opts.collapse_cosine = *v;
   }
   if (const std::string_view facets = request.param("facets");
       !facets.empty()) {
-    const std::size_t v = parse_size(facets, 0);
-    if (v == 0) {
+    const std::optional<std::size_t> v = parse_count(facets);
+    if (!v || *v == 0) {
       error = "facets must be a positive integer";
       return false;
     }
-    opts.facets = v;
+    opts.facets = *v;
   }
   return true;
 }
@@ -579,7 +595,8 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) {
 HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   LSI_OBS_SPAN(span, "serve.search");
   const std::size_t page =
-      std::min(parse_size(request.param("top"), opts_.default_page_size),
+      std::min(parse_count(request.param("top"))
+                   .value_or(opts_.default_page_size),
                opts_.max_ranking);
   const std::string_view token = request.param("session");
   const std::string_view q = request.param("q");
@@ -694,7 +711,7 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   }
   if (request.has_param("cursor")) {
     session->cursor =
-        parse_size(request.param("cursor"), session->cursor);
+        parse_count(request.param("cursor")).value_or(session->cursor);
   }
 
   const std::size_t begin = std::min(session->cursor, session->ranking.size());
@@ -900,27 +917,27 @@ HttpResponse HttpServer::handle_healthz() {
 HttpResponse HttpServer::handle_replica_admin(const HttpRequest& request,
                                               bool eject) {
   LSI_OBS_SPAN(span, eject ? "serve.replica_eject" : "serve.replica_readmit");
-  const std::size_t npos = static_cast<std::size_t>(-1);
-  const std::size_t shard = parse_size(request.param("shard"), npos);
-  const std::size_t replica = parse_size(request.param("replica"), npos);
-  if (shard == npos || replica == npos) {
+  const std::optional<std::size_t> shard = parse_count(request.param("shard"));
+  const std::optional<std::size_t> replica =
+      parse_count(request.param("replica"));
+  if (!shard || !replica) {
     return error_response(400, "shard and replica parameters are required");
   }
   // readmit replays the shard's ingest log on this (loop) thread before
   // answering: the 200 means the replica is caught up and back in the feed,
   // which is exactly what the scripted failover steps want to assert.
-  const Status status = eject ? index_.eject_replica(shard, replica)
-                              : index_.readmit_replica(shard, replica);
+  const Status status = eject ? index_.eject_replica(*shard, *replica)
+                              : index_.readmit_replica(*shard, *replica);
   if (!status.ok()) {
     const int http =
         status.code() == StatusCode::kInvalidArgument ? 400 : 409;
     return error_response(http, status.message());
   }
   HttpResponse resp;
-  resp.body = "{\"shard\":" + std::to_string(shard) +
-              ",\"replica\":" + std::to_string(replica) + ",\"state\":\"" +
+  resp.body = "{\"shard\":" + std::to_string(*shard) +
+              ",\"replica\":" + std::to_string(*replica) + ",\"state\":\"" +
               (eject ? "ejected" : "healthy") + "\",\"healthy\":" +
-              std::to_string(index_.healthy_replicas(shard)) + "}";
+              std::to_string(index_.healthy_replicas(*shard)) + "}";
   return resp;
 }
 

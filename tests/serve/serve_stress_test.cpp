@@ -100,9 +100,15 @@ TEST(ServeStress, MixedTrafficRacesWriterThreadsAndConsolidation) {
           case 3: {
             std::string tsv;
             for (int d = 0; d < 3; ++d) {
-              tsv += "c" + std::to_string(c) + "i" + std::to_string(i) + "d" +
-                     std::to_string(d) + "\t" +
-                     corpus.docs[(c + i + d) % corpus.docs.size()].body + "\n";
+              tsv += 'c';
+              tsv += std::to_string(c);
+              tsv += 'i';
+              tsv += std::to_string(i);
+              tsv += 'd';
+              tsv += std::to_string(d);
+              tsv += '\t';
+              tsv += corpus.docs[(c + i + d) % corpus.docs.size()].body;
+              tsv += '\n';
             }
             resp = client.request("POST", "/ingest", tsv);
             break;

@@ -215,6 +215,34 @@ TEST_F(ServerTest, SessionPagesThroughOneRanking) {
             404);
 }
 
+TEST_F(ServerTest, SessionIgnoresCollapseAndFacets) {
+  // Sessions page a plain ranking: collapse and facets belong to the
+  // sessionless gather response, so a session asking for them pages exactly
+  // the ranking of a session that does not.
+  TestClient client(server_->port());
+  const std::string q = encode_query(query_text());
+  auto pages = [&](const std::string& knobs) {
+    const ClientResponse created = client.request("POST", "/session");
+    EXPECT_EQ(created.status, 201) << created.body;
+    const std::string token = json_string_field(created.body, "session");
+    std::vector<std::string> out;
+    for (const std::string& request :
+         {"/search?q=" + q + "&session=" + token + "&top=4" + knobs,
+          "/search?session=" + token + "&top=4"}) {
+      const ClientResponse page = client.request("GET", request);
+      EXPECT_EQ(page.status, 200) << page.body;
+      // Everything after the per-session token: results, cursor, total,
+      // more and the pinned generations.
+      out.push_back(page.body.substr(page.body.find("\"results\"")));
+    }
+    return out;
+  };
+  const std::vector<std::string> plain = pages("");
+  const std::vector<std::string> rich = pages("&collapse=0.9&facets=3");
+  EXPECT_EQ(rich, plain);
+  EXPECT_EQ(rich[0].find("\"facets\""), std::string::npos) << rich[0];
+}
+
 TEST_F(ServerTest, UnknownSessionIs404) {
   TestClient client(server_->port());
   EXPECT_EQ(client.request("GET", "/search?session=bogus&q=x").status, 404);
@@ -426,6 +454,8 @@ TEST_F(ServerTest, InvalidKnobCombinationsAnswer400WithPreciseMessages) {
       {"&recall=1.5", "recall must be a number in (0, 1]"},
       {"&recall=x", "recall must be a number in (0, 1]"},
       {"&deadline_ms=0", "deadline_ms must be a positive integer"},
+      {"&deadline_ms=10000000000000", "deadline_ms must be a positive integer"},
+      {"&nprobe=99999999999999999999999", "nprobe must be a positive integer"},
   };
   for (const auto& c : cases) {
     const ClientResponse resp = client.request("GET", q + c.params);
